@@ -14,7 +14,13 @@
     assert that a whole run balanced its references back to zero.
 
     Refcounts and gauges are atomic: chunks cross domains by reference
-    in the parallel runtime. *)
+    in the parallel runtime.
+
+    Root memory is recycled: a root whose refcount reaches zero returns
+    to a bounded free list for its power-of-two size class (64 B to
+    1 MiB; longer roots are left to the GC), and allocation is served
+    from there first.  The gauges count requested bytes, not the size
+    class, and a pooled root is not live. *)
 
 type buffer = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -26,13 +32,20 @@ exception Fault of fault * string
 
 val fault_name : fault -> string
 
-(** {1 Allocation — each makes one fresh root (one payload copy)} *)
+(** {1 Allocation — each makes one fresh root (one payload copy)}
+
+    A zero-length chunk has no root. *)
 
 val alloc : int -> t
 (** Zero-filled chunk of [n] bytes. *)
 
 val of_string : string -> t
 val of_substring : string -> pos:int -> len:int -> t
+
+val of_buffer : buffer -> pos:int -> len:int -> t
+(** Copy [len] bytes of a foreign buffer (a socket receive buffer, say)
+    into a fresh root. *)
+
 val empty : unit -> t
 
 (** {1 Liveness} *)

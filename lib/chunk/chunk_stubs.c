@@ -3,7 +3,7 @@
    The pure-OCaml fallbacks move one byte per iteration through the
    Bigarray accessors; on the chunked hot path (line scanning and the
    codec/syscall copy points) that per-byte cost dominates everything
-   else, so the three inner loops are memcpy/memchr instead.  All
+   else, so the inner loops are memcpy/memchr instead.  All
    bounds checking stays on the OCaml side. */
 
 #include <string.h>
@@ -23,6 +23,14 @@ CAMLprim value eden_chunk_blit_string_ba(value s, value src, value ba, value dst
 {
   memcpy((char *) Caml_ba_data_val(ba) + Long_val(dst),
          String_val(s) + Long_val(src), Long_val(len));
+  return Val_unit;
+}
+
+CAMLprim value eden_chunk_blit_ba_ba(value src, value spos, value dst, value dpos,
+                                     value len)
+{
+  memcpy((char *) Caml_ba_data_val(dst) + Long_val(dpos),
+         (char *) Caml_ba_data_val(src) + Long_val(spos), Long_val(len));
   return Val_unit;
 }
 

@@ -51,6 +51,11 @@ type mode =
           carry [Value]s in the {!Eden_wire.Bin} codec.  At most 256
           shards (shard indices ride in one header byte).
 
+          A value sent to another process is owned there by its decoded
+          copy, so the sending process releases the chunks it carried
+          once the frame is written, or dropped by fault injection —
+          what the in-process receiver would have done.
+
           The OCaml 5 runtime forbids [Unix.fork] once any domain has
           ever been spawned, so in a process that mixes modes every
           [Wire] run must complete before the first [Parallel] one
@@ -121,6 +126,28 @@ val run : t -> unit
     precedes its Idle — and frames eaten by fault injection were never
     sent, so a faulted run still terminates (the requesting fiber stays
     blocked, exactly like simulated loss without retransmission). *)
+
+val hello_deadline : float
+(** Seconds a [Wire] run waits for every leaf to connect and finish its
+    handshake (10).  Past it — or as soon as a leaf that has not said
+    hello is seen to have exited — {!run} fails naming the missing
+    shards instead of blocking. *)
+
+val await_hellos :
+  Eden_wire.Transport.server ->
+  shards:int ->
+  within:float ->
+  exited:(int -> string option) ->
+  hello:(Unix.file_descr -> int) ->
+  Unix.file_descr array
+(** The accept phase of a [Wire] run, exposed for tests.  Accepts
+    connections until each of shards [1 .. shards-1] has said hello:
+    [hello] runs the handshake on a fresh connection and returns the
+    shard it names.  [exited i] is polled for every missing shard while
+    waiting; [Some reason] means shard [i] is gone and can never say
+    hello.  Returns the descriptors by shard (index 0 unused).
+    @raise Failure naming every missing shard when [within] seconds
+    pass, or when a missing shard has exited. *)
 
 val meter : t -> Eden_kernel.Kernel.Meter.snapshot
 (** Counter-wise sum over all shards.  In [Wire] mode (after {!run})

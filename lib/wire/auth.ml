@@ -4,143 +4,27 @@ let err fmt = Printf.ksprintf (fun m -> raise (Value.Protocol_error ("auth: " ^ 
 
 (* --- SipHash-2-4 ---------------------------------------------------- *)
 
-(* Each 64-bit lane is two 32-bit limbs in native ints: every frame on
-   an authenticated link pays one MAC over its whole payload, and boxed
-   Int64 rounds (an allocation per arithmetic op) cost ~40% of wire
-   throughput at batch 64.  Limb arithmetic fits 63-bit native ints
-   (32-bit add carries one bit, 32-bit shifts stay under 45 bits) and
-   allocates nothing in the compression loop. *)
+(* Every frame on an authenticated link pays one MAC over its whole
+   payload on each side, and the hub two more when it relays, so the
+   compression loop is C (wire_stubs.c): unboxed 64-bit lanes, no
+   allocation, no per-byte bounds checks. *)
+external sip : string -> string -> string -> int -> int -> (int64[@unboxed])
+  = "eden_wire_siphash_byte" "eden_wire_siphash"
+  [@@noalloc]
 
-let mask32 = 0xFFFFFFFF
+(* The same loop over a Bigarray slice: a payload in a receive buffer
+   or a connection's stage, hashed where it lies. *)
+external sip_buffer :
+  string -> string -> Iov.buffer -> int -> int -> (int64[@unboxed])
+  = "eden_wire_siphash_byte" "eden_wire_siphash"
+  [@@noalloc]
 
-type sip_state = {
-  mutable v0h : int;
-  mutable v0l : int;
-  mutable v1h : int;
-  mutable v1l : int;
-  mutable v2h : int;
-  mutable v2l : int;
-  mutable v3h : int;
-  mutable v3l : int;
-}
-
-(* One SipRound, fully straight-line over the limb record: immediate-int
-   field stores have no write barrier, so a round allocates nothing. *)
-let sipround st =
-  let l = st.v0l + st.v1l in
-  let v0l = l land mask32 in
-  let v0h = (st.v0h + st.v1h + (l lsr 32)) land mask32 in
-  let h = ((st.v1h lsl 13) lor (st.v1l lsr 19)) land mask32 in
-  let v1l = ((st.v1l lsl 13) lor (st.v1h lsr 19)) land mask32 in
-  let v1h = h lxor v0h in
-  let v1l = v1l lxor v0l in
-  (* v0 rotl 32: limb swap *)
-  let t = v0h in
-  let v0h = v0l in
-  let v0l = t in
-  let l = st.v2l + st.v3l in
-  let v2l = l land mask32 in
-  let v2h = (st.v2h + st.v3h + (l lsr 32)) land mask32 in
-  let h = ((st.v3h lsl 16) lor (st.v3l lsr 16)) land mask32 in
-  let v3l = ((st.v3l lsl 16) lor (st.v3h lsr 16)) land mask32 in
-  let v3h = h lxor v2h in
-  let v3l = v3l lxor v2l in
-  let l = v0l + v3l in
-  let v0l = l land mask32 in
-  let v0h = (v0h + v3h + (l lsr 32)) land mask32 in
-  let h = ((v3h lsl 21) lor (v3l lsr 11)) land mask32 in
-  let v3l = ((v3l lsl 21) lor (v3h lsr 11)) land mask32 in
-  let v3h = h lxor v0h in
-  let v3l = v3l lxor v0l in
-  let l = v2l + v1l in
-  let v2l = l land mask32 in
-  let v2h = (v2h + v1h + (l lsr 32)) land mask32 in
-  let h = ((v1h lsl 17) lor (v1l lsr 15)) land mask32 in
-  let v1l = ((v1l lsl 17) lor (v1h lsr 15)) land mask32 in
-  let v1h = h lxor v2h in
-  let v1l = v1l lxor v2l in
-  st.v0h <- v0h;
-  st.v0l <- v0l;
-  st.v1h <- v1h;
-  st.v1l <- v1l;
-  (* v2 rotl 32: limb swap *)
-  st.v2h <- v2l;
-  st.v2l <- v2h;
-  st.v3h <- v3h;
-  st.v3l <- v3l
-
-let sip_compress st mh ml =
-  st.v3h <- st.v3h lxor mh;
-  st.v3l <- st.v3l lxor ml;
-  sipround st;
-  sipround st;
-  st.v0h <- st.v0h lxor mh;
-  st.v0l <- st.v0l lxor ml
-
-(* Unboxed little-endian 32-bit load (String.get_int32_le boxes). *)
-let limb s i =
-  Char.code (String.unsafe_get s i)
-  lor (Char.code (String.unsafe_get s (i + 1)) lsl 8)
-  lor (Char.code (String.unsafe_get s (i + 2)) lsl 16)
-  lor (Char.code (String.unsafe_get s (i + 3)) lsl 24)
-
-let sip_init ~key =
-  if String.length key <> 16 then invalid_arg "Auth.siphash: key must be 16 bytes";
-  let k0l = limb key 0 and k0h = limb key 4 in
-  let k1l = limb key 8 and k1h = limb key 12 in
-  {
-    v0h = k0h lxor 0x736f6d65;
-    v0l = k0l lxor 0x70736575;
-    v1h = k1h lxor 0x646f7261;
-    v1l = k1l lxor 0x6e646f6d;
-    v2h = k0h lxor 0x6c796765;
-    v2l = k0l lxor 0x6e657261;
-    v3h = k1h lxor 0x74656462;
-    v3l = k1l lxor 0x79746573;
-  }
-
-(* Feed [msg] whole 8-byte words; [base] is the byte count already fed
-   (for a prefix), which must be a multiple of 8. *)
-let sip_body st msg =
-  let full = String.length msg / 8 in
-  for i = 0 to full - 1 do
-    sip_compress st (limb msg ((i * 8) + 4)) (limb msg (i * 8))
-  done;
-  full * 8
-
-let sip_finish st msg ~tail_at ~total_len =
-  let len = String.length msg in
-  let lh = ref ((total_len land 0xFF) lsl 24) and ll = ref 0 in
-  for i = 0 to len - tail_at - 1 do
-    let byte = Char.code (String.unsafe_get msg (tail_at + i)) in
-    if i < 4 then ll := !ll lor (byte lsl (8 * i)) else lh := !lh lor (byte lsl (8 * (i - 4)))
-  done;
-  sip_compress st !lh !ll;
-  st.v2l <- st.v2l lxor 0xFF;
-  sipround st;
-  sipround st;
-  sipround st;
-  sipround st;
-  let h = st.v0h lxor st.v1h lxor st.v2h lxor st.v3h
-  and l = st.v0l lxor st.v1l lxor st.v2l lxor st.v3l in
-  Int64.logor
-    (Int64.shift_left (Int64.of_int h) 32)
-    (Int64.logand (Int64.of_int l) 0xFFFFFFFFL)
+let check_key key =
+  if String.length key <> 16 then invalid_arg "Auth.siphash: key must be 16 bytes"
 
 let siphash ~key msg =
-  let st = sip_init ~key in
-  let tail_at = sip_body st msg in
-  sip_finish st msg ~tail_at ~total_len:(String.length msg)
-
-(* [siphash] of [prefix ^ msg] without materializing the concatenation —
-   what the per-frame MAC uses, so sealing never copies the payload just
-   to hash it.  [prefix] must be a whole number of 8-byte words. *)
-let siphash_prefixed ~key ~prefix msg =
-  assert (String.length prefix land 7 = 0);
-  let st = sip_init ~key in
-  ignore (sip_body st prefix);
-  let tail_at = sip_body st msg in
-  sip_finish st msg ~tail_at ~total_len:(String.length prefix + String.length msg)
+  check_key key;
+  sip key "" msg 0 (String.length msg)
 
 (* --- Communities ---------------------------------------------------- *)
 
@@ -248,23 +132,33 @@ let session c ~token = { skey = c.key; token; send_ctr = 0; recv_ctr = 0 }
 let sent s = s.send_ctr
 let received s = s.recv_ctr
 
+(* 24-byte prefix (a whole number of sip words), so the payload is
+   hashed in place rather than copied into a scratch buffer.  [h] is the
+   header without [flag_mac]. *)
+let mac_prefix s ~ctr (h : Frame.header) =
+  let b = Bytes.create 24 in
+  Bytes.set_int64_be b 0 s.token;
+  Bytes.set_int64_be b 8 (Int64.of_int ctr);
+  Bytes.set_uint8 b 16 (Frame.kind_code h.kind);
+  Bytes.set_uint8 b 17 (h.flags land lnot Frame.flag_mac land 0xFF);
+  Bytes.set_uint8 b 18 (h.src land 0xFF);
+  Bytes.set_uint8 b 19 (h.dst land 0xFF);
+  Bytes.set_int32_be b 20 (Int32.of_int h.seq);
+  Bytes.unsafe_to_string b
+
 let frame_mac s ~ctr (f : Frame.t) =
-  let h = f.Frame.hdr in
-  (* 24-byte prefix (a whole number of sip words), so the payload is
-     hashed in place rather than copied into a scratch buffer. *)
-  let b = Buffer.create 24 in
-  Buffer.add_int64_be b s.token;
-  Buffer.add_int64_be b (Int64.of_int ctr);
-  Buffer.add_uint8 b (Frame.kind_code h.kind);
-  Buffer.add_uint8 b (h.flags land lnot Frame.flag_mac land 0xFF);
-  Buffer.add_uint8 b (h.src land 0xFF);
-  Buffer.add_uint8 b (h.dst land 0xFF);
-  Buffer.add_int32_be b (Int32.of_int h.seq);
-  siphash_prefixed ~key:s.skey ~prefix:(Buffer.contents b) f.Frame.payload
+  let p = f.Frame.payload in
+  sip s.skey (mac_prefix s ~ctr f.Frame.hdr) p 0 (String.length p)
+
+let buffer_mac s ~ctr h buf ~pos ~len = sip_buffer s.skey (mac_prefix s ~ctr h) buf pos len
+
+let next_send s =
+  let c = s.send_ctr in
+  s.send_ctr <- c + 1;
+  c
 
 let seal s f =
-  let mac = frame_mac s ~ctr:s.send_ctr f in
-  s.send_ctr <- s.send_ctr + 1;
+  let mac = frame_mac s ~ctr:(next_send s) f in
   let plen = String.length f.Frame.payload in
   let b = Bytes.create (plen + 8) in
   Bytes.blit_string f.Frame.payload 0 b 0 plen;
@@ -276,31 +170,58 @@ let seal s f =
 
 let replay_window = 64
 
-let open_ s f =
-  let h = f.Frame.hdr in
-  if h.flags land Frame.flag_mac = 0 then err "unsealed frame on an authenticated link";
-  let plen = String.length f.Frame.payload in
-  if plen < 8 then err "sealed frame too short for its MAC trailer";
-  let mac = String.get_int64_be f.Frame.payload (plen - 8) in
-  let stripped =
-    {
-      Frame.hdr = { h with flags = h.flags land lnot Frame.flag_mac };
-      payload = String.sub f.Frame.payload 0 (plen - 8);
-    }
-  in
-  if Int64.equal mac (frame_mac s ~ctr:s.recv_ctr stripped) then begin
-    s.recv_ctr <- s.recv_ctr + 1;
-    stripped
-  end
+(* [mac_at ctr] is the MAC the frame would carry under counter [ctr]. *)
+let accept s ~mac mac_at =
+  if Int64.equal mac (mac_at s.recv_ctr) then s.recv_ctr <- s.recv_ctr + 1
   else begin
     (* Distinguish a replay (MAC good under an earlier counter) from
        corruption or forgery: the meters and the operator want to know. *)
     let lo = max 0 (s.recv_ctr - replay_window) in
     let rec scan c =
       if c >= s.recv_ctr then err "frame MAC mismatch"
-      else if Int64.equal mac (frame_mac s ~ctr:c stripped) then
+      else if Int64.equal mac (mac_at c) then
         err "replayed frame (counter %d, expected %d)" c s.recv_ctr
       else scan (c + 1)
     in
     scan lo
   end
+
+let check_sealed (h : Frame.header) plen =
+  if h.flags land Frame.flag_mac = 0 then err "unsealed frame on an authenticated link";
+  if plen < 8 then err "sealed frame too short for its MAC trailer";
+  { h with flags = h.flags land lnot Frame.flag_mac }
+
+let open_ s f =
+  let plen = String.length f.Frame.payload in
+  let hdr = check_sealed f.Frame.hdr plen in
+  let stripped = { Frame.hdr; payload = String.sub f.Frame.payload 0 (plen - 8) } in
+  accept s ~mac:(String.get_int64_be f.Frame.payload (plen - 8)) (fun ctr ->
+      frame_mac s ~ctr stripped);
+  stripped
+
+(* --- The data path on a {!Frame.conn}: MACs computed in place -------- *)
+
+let send_value s conn ~kind ~src ~dst ~seq v =
+  Frame.send_value conn ~kind ~src ~dst ~seq v ~seal:(fun h buf ~pos ~len ->
+      buffer_mac s ~ctr:(next_send s) h buf ~pos ~len)
+
+let get_int64_be buf i =
+  let byte k = Int64.of_int (Char.code (Bigarray.Array1.get buf (i + k))) in
+  let r = ref 0L in
+  for k = 0 to 7 do
+    r := Int64.logor (Int64.shift_left !r 8) (byte k)
+  done;
+  !r
+
+let verify_received s conn h =
+  let buf, pos, plen = Frame.received_payload conn in
+  let hdr = check_sealed h plen in
+  let len = plen - 8 in
+  accept s ~mac:(get_int64_be buf (pos + len)) (fun ctr ->
+      buffer_mac s ~ctr hdr buf ~pos ~len);
+  hdr
+
+let relay s h ~into from =
+  let buf, pos, plen = Frame.received_payload from in
+  let mac = buffer_mac s ~ctr:(next_send s) h buf ~pos ~len:(plen - 8) in
+  Frame.relay ~into from ~trailer:mac

@@ -27,9 +27,9 @@ val community : id:int64 -> key:string -> community
 (** @raise Invalid_argument unless [key] is exactly 16 bytes. *)
 
 val siphash : key:string -> string -> int64
-(** SipHash-2-4 of the message under a 16-byte key.  Pure OCaml; this
-    is a MAC for protocol integrity, not a general-purpose crypto
-    library.  @raise Invalid_argument on a key that is not 16 bytes. *)
+(** SipHash-2-4 of the message under a 16-byte key (a C loop); this is
+    a MAC for protocol integrity, not a general-purpose crypto library.
+    @raise Invalid_argument on a key that is not 16 bytes. *)
 
 (** {1 Handshake} *)
 
@@ -76,6 +76,36 @@ val open_ : session -> Frame.t -> Frame.t
     @raise Eden_kernel.Value.Protocol_error on a missing trailer, a
     MAC mismatch, or a frame whose MAC matches an {e earlier} counter
     — a replayed frame, reported as such. *)
+
+(** {1 Sealing on a connection}
+
+    The same MACs, computed where the payload lies: a sealed frame
+    costs one staging pass and no payload copy on either side. *)
+
+val send_value :
+  session ->
+  Frame.conn ->
+  kind:Frame.kind ->
+  src:int ->
+  dst:int ->
+  seq:int ->
+  Eden_kernel.Value.t ->
+  unit
+(** [Frame.send c (seal s (Frame.make ... (Bin.encode v)))], byte for
+    byte, with the payload staged once and hashed in place. *)
+
+val verify_received : session -> Frame.conn -> Frame.header -> Frame.header
+(** Check the frame last received on the connection, whose header
+    {!Frame.recv} returned, as {!open_} would, without copying it;
+    returns the header without [flag_mac].  Decode the payload with
+    [Frame.decode_received ~trailer:8].
+    @raise Eden_kernel.Value.Protocol_error as {!open_}. *)
+
+val relay : session -> Frame.header -> into:Frame.conn -> Frame.conn -> unit
+(** Pass the frame last received (and verified) on the last connection
+    to [into], re-sealed under this session: the payload goes out of
+    the receive buffer and only the trailer is new.  [header] is the
+    one {!verify_received} returned. *)
 
 val sent : session -> int
 val received : session -> int

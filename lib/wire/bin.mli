@@ -27,14 +27,20 @@ val max_depth : int
 val to_buffer : Buffer.t -> Value.t -> unit
 val encode : Value.t -> string
 
+val encoded_length : Value.t -> int
+(** [String.length (encode v)], computed without encoding. *)
+
 (** {1 Gather encoding}
 
     [Chunk] payloads are big and already flat; flattening them through
     a [Buffer] would copy each payload twice before the socket sees it.
-    {!parts} produces the same byte stream as {!encode} but keeps every
-    chunk payload as a live reference, so a writer can emit the flat
-    header strings as-is and blit each payload straight into the
-    syscall ({!Frame.write_parts}). *)
+    {!gather} and {!parts} produce the same byte stream as {!encode}
+    but keep every chunk payload as a live reference, so the socket
+    reads it in place ({!Frame.send_value}, {!Frame.write_parts}). *)
+
+val gather : Iov.t -> Value.t -> unit
+(** Append the encoding to a gather list: framing bytes staged, chunk
+    segments by reference. *)
 
 type part =
   | Flat of string  (** tag/length framing and non-chunk values *)
@@ -50,6 +56,11 @@ val decode : string -> Value.t
 (** Decode exactly one value spanning the whole string.
     @raise Value.Protocol_error on truncation, trailing bytes, unknown
     tags, hostile lengths/counts, or over-deep nesting. *)
+
+val decode_buffer : Eden_chunk.Chunk.buffer -> pos:int -> len:int -> Value.t
+(** {!decode} of the view [buf[pos, pos+len)] — a socket receive
+    buffer, decoded in place.  Each chunk payload is copied exactly
+    once, into a fresh (pooled) root; nothing returned aliases [buf]. *)
 
 val decode_prefix : string -> pos:int -> Value.t * int
 (** Decode one value starting at [pos]; returns the value and the

@@ -31,6 +31,12 @@ let accept s =
   tune s.kind fd;
   fd
 
+let accept_within s timeout =
+  match Unix.select [ s.fd ] [] [] timeout with
+  | [], _, _ -> None
+  | _ -> Some (accept s)
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> None
+
 let dial s =
   let domain = match s.kind with Unix_socket -> Unix.PF_UNIX | Tcp -> Unix.PF_INET in
   let fd = Unix.socket domain Unix.SOCK_STREAM 0 in

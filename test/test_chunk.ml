@@ -105,42 +105,60 @@ let test_gauge_balance () =
 
 (* --- QCheck lifecycle fuzzer ---------------------------------------- *)
 
-(* Random sub/split/concat/release sequences over a tracked pool of
-   handles, plus deliberate double-releases and use-after-free pokes.
-   The typed faults must fire exactly on the poisoned actions, and the
-   gauges must return to baseline once every live handle is released. *)
+(* Random alloc/sub/split/concat/release sequences over a tracked pool
+   of handles, plus deliberate double-releases and use-after-free
+   pokes.  Sizes span several pool classes, so released roots are
+   recycled into later allocations.  The typed faults must fire exactly
+   on the poisoned actions — also on handles whose memory has since
+   been reused — every live handle must keep reading the bytes it was
+   made with (a recycled root is never reachable from a live view),
+   and the gauges must return to baseline once every live handle is
+   released. *)
 let prop_lifecycle =
   prop "chunk lifecycle fuzzer: faults typed, gauges balance" ~count:200
-    QCheck2.Gen.(list_size (int_range 1 60) (pair (int_bound 7) (int_bound 1000)))
+    QCheck2.Gen.(list_size (int_range 1 60) (pair (int_bound 8) (int_bound 1000)))
     (fun ops ->
       let base = gauges () in
+      (* (handle, the bytes it must read) *)
       let alive = ref [] in
       let dead = ref [] in
       let fresh_id = ref 0 in
       let pick xs r = List.nth xs (r mod List.length xs) in
       let ok = ref true in
+      let add c want = alive := (c, want) :: !alive in
       List.iter
         (fun (op, r) ->
           match op with
           | 0 | 1 ->
               incr fresh_id;
-              alive := Chunk.of_string (Printf.sprintf "item-%04d-%d" !fresh_id r) :: !alive
+              let size = if r mod 5 = 0 then 100 + (r * 13) else r mod 90 in
+              let s = String.init size (fun i -> Char.chr (33 + ((i + !fresh_id) mod 90))) in
+              add (Chunk.of_string s) s
+          | 8 ->
+              (* alloc must zero-fill even when it reuses a root. *)
+              let n = r * 7 mod 3000 in
+              add (Chunk.alloc n) (String.make n '\000')
           | 2 when !alive <> [] ->
-              let c = pick !alive r in
+              let c, want = pick !alive r in
               let len = Chunk.length c in
-              if len > 0 then
-                alive := Chunk.sub c ~pos:(r mod len) ~len:(1 + (r mod (len - (r mod len)))) :: !alive
+              if len > 0 then begin
+                let pos = r mod len in
+                let n = 1 + (r mod (len - pos)) in
+                add (Chunk.sub c ~pos ~len:n) (String.sub want pos n)
+              end
           | 3 when !alive <> [] ->
-              let c = pick !alive r in
-              let a, b = Chunk.split c (r mod (Chunk.length c + 1)) in
-              alive := a :: b :: !alive
+              let c, want = pick !alive r in
+              let k = r mod (Chunk.length c + 1) in
+              let a, b = Chunk.split c k in
+              add a (String.sub want 0 k);
+              add b (String.sub want k (String.length want - k))
           | 4 when !alive <> [] ->
-              let a = pick !alive r and b = pick !alive (r / 7) in
-              alive := Chunk.concat [ a; b ] :: !alive
+              let a, wa = pick !alive r and b, wb = pick !alive (r / 7) in
+              add (Chunk.concat [ a; b ]) (wa ^ wb)
           | 5 when !alive <> [] ->
-              let c = pick !alive r in
+              let c, _ = pick !alive r in
               Chunk.release c;
-              alive := List.filter (fun x -> x != c) !alive;
+              alive := List.filter (fun (x, _) -> x != c) !alive;
               dead := c :: !dead
           | 6 when !dead <> [] ->
               (* Double release must raise the typed fault, every time. *)
@@ -158,10 +176,50 @@ let prop_lifecycle =
               | exception _ -> ok := false)
           | _ -> ())
         ops;
-      (* Exercise reads on the survivors, then drain the pool. *)
-      List.iter (fun c -> ignore (Chunk.to_string c)) !alive;
-      List.iter Chunk.release !alive;
+      (* Every survivor still reads its own bytes; then drain the pool. *)
+      List.iter (fun (c, want) -> if Chunk.to_string c <> want then ok := false) !alive;
+      List.iter (fun (c, _) -> Chunk.release c) !alive;
       !ok && gauges () = base)
+
+(* Allocation and release racing across domains: each domain keeps a
+   window of its own chunks, hands every other one to a shared queue,
+   and releases chunks that other domains made.  Every chunk must read
+   back the bytes it was made with, and the gauges must balance.  Runs
+   after every forking suite (see main.ml). *)
+let test_pool_across_domains () =
+  let base = gauges () in
+  let domains = 4 and rounds = 3000 in
+  let shared = Queue.create () and lock = Mutex.create () in
+  let bad = Atomic.make 0 in
+  let verify (c, want) =
+    if Chunk.to_string c <> want then Atomic.incr bad;
+    Chunk.release c
+  in
+  let worker d () =
+    let g = Random.State.make [| d |] in
+    let window = Queue.create () in
+    for i = 1 to rounds do
+      let n = 1 + Random.State.int g (if i mod 4 = 0 then 20_000 else 500) in
+      let want = String.init n (fun k -> Char.chr (65 + ((k + i + d) mod 50))) in
+      let item = (Chunk.of_string want, want) in
+      if i mod 2 = 0 then begin
+        Mutex.lock lock;
+        Queue.push item shared;
+        Mutex.unlock lock
+      end
+      else Queue.push item window;
+      if Queue.length window > 8 then verify (Queue.pop window);
+      Mutex.lock lock;
+      let other = if Queue.length shared > 16 then Some (Queue.pop shared) else None in
+      Mutex.unlock lock;
+      Option.iter verify other
+    done;
+    Queue.iter verify window
+  in
+  List.iter Domain.join (List.init domains (fun d -> Domain.spawn (worker d)));
+  Queue.iter verify shared;
+  check Alcotest.int "every chunk read back its own bytes" 0 (Atomic.get bad);
+  check Alcotest.(triple int int int) "gauges balance across domains" base (gauges ())
 
 (* --- hostile decoding ----------------------------------------------- *)
 
@@ -432,3 +490,6 @@ let suite =
     Alcotest.test_case "flowctl chunked config" `Quick test_flowctl_chunked;
     Alcotest.test_case "resil replay refcount balance" `Quick test_resil_replay_balance;
   ]
+
+let domain_suite =
+  [ Alcotest.test_case "pool: alloc and release across domains" `Quick test_pool_across_domains ]
